@@ -68,22 +68,25 @@ bench-smoke:
 # Timed run of the scaling + kernel benches, persisted as a JSON
 # artifact so the perf trajectory (incremental index, storage
 # backends, batch kernels) is tracked across PRs.  Honours
-# REPRO_BENCH_SIZES.
+# REPRO_BENCH_SIZES.  Never writes the committed baseline
+# (benchmarks/BENCH_baseline.json).
 bench-json:
 	$(PYTHON) -m pytest benchmarks/bench_chase_scaling.py \
 	    benchmarks/bench_join_kernels.py -q \
 	    --benchmark-json=BENCH_chase_scaling.json
 	@echo "wrote BENCH_chase_scaling.json"
 
-# Regression gate against the committed baseline: re-times the bench
-# into a scratch JSON and compares per-benchmark mean ratios,
-# normalized by the run-wide median (machine speed cancels out).
+# Regression gate against the committed baseline
+# (benchmarks/BENCH_baseline.json, recorded with REPRO_BENCH_SIZES=4,8):
+# re-times the bench into a scratch JSON and compares per-benchmark
+# mean ratios, normalized by the run-wide median (machine speed cancels
+# out).
 check-bench:
 	REPRO_BENCH_SIZES=4,8 $(PYTHON) -m pytest \
 	    benchmarks/bench_chase_scaling.py \
 	    benchmarks/bench_join_kernels.py -q \
 	    --benchmark-json=BENCH_fresh.json
-	$(PYTHON) tools/check_bench.py BENCH_chase_scaling.json BENCH_fresh.json
+	$(PYTHON) tools/check_bench.py benchmarks/BENCH_baseline.json BENCH_fresh.json
 	@rm -f BENCH_fresh.json
 
 # Fails on broken intra-repo markdown links and on references to

@@ -15,16 +15,20 @@ already be satisfied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Tuple
+import weakref
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional, Tuple
 
-from repro.homomorphism.engine import Assignment, apply_assignment
+from repro.homomorphism.engine import Assignment
 from repro.homomorphism.extend import freeze_assignment as _freeze_assignment
+from repro.homomorphism.plan import tuple_getter
 from repro.lang.atoms import Atom
 from repro.lang.constraints import Constraint, EGD, TGD
 from repro.lang.errors import ChaseFailure
 from repro.lang.instance import Instance
 from repro.lang.terms import (GroundTerm, Null, NullFactory, NULLS, Variable)
+from repro.storage.interning import TermTable
 
 
 @dataclass(frozen=True)
@@ -52,21 +56,93 @@ class ChaseStep:
         return f"--({marker}{name}, {params})-->"
 
 
+class _HeadTemplate:
+    """A TGD head compiled to interned-id rows.
+
+    A step fills one *slot row* -- the frontier values' ids (sorted by
+    variable name), then the fresh nulls' ids (one per existential
+    variable, sorted by name), then the head constants' ids -- and each
+    head atom's argument ids are one C-level gather from it.  Constant
+    ids depend on the store's term table, so they are resolved once per
+    table and memoized against it.
+    """
+
+    __slots__ = ("frontier", "existentials", "constants", "atoms",
+                 "_memo")
+
+    def __init__(self, tgd: TGD) -> None:
+        by_name = lambda var: var.name  # noqa: E731
+        self.frontier = tuple(sorted(tgd.frontier_variables(), key=by_name))
+        self.existentials = tuple(sorted(tgd.existential_variables(),
+                                         key=by_name))
+        slot = {var: index for index, var
+                in enumerate(self.frontier + self.existentials)}
+        constants: list = []
+        atoms = []
+        for atom in tgd.head:
+            slots = []
+            for arg in atom.args:
+                if not isinstance(arg, Variable):
+                    if arg not in slot:
+                        slot[arg] = len(slot)
+                        constants.append(arg)
+                slots.append(slot[arg])
+            nulls = frozenset(slot[var] - len(self.frontier)
+                              for var in atom.variables()
+                              if var in self.existentials)
+            atoms.append((atom.relation, tuple_getter(slots), nulls))
+        self.constants: Tuple[GroundTerm, ...] = tuple(constants)
+        self.atoms = tuple(atoms)
+        #: (weak reference to a table, the constants' ids in it) --
+        #: one attribute, so a reader never pairs one table's ids with
+        #: another table
+        self._memo: Optional[tuple] = None
+
+    def constant_ids(self, table: TermTable) -> Tuple[int, ...]:
+        """The head constants' ids in ``table`` (memoized per table)."""
+        if not self.constants:
+            return ()
+        memo = self._memo
+        if memo is not None and memo[0]() is table:
+            return memo[1]
+        intern = table.intern
+        ids = tuple(intern(term) for term in self.constants)
+        self._memo = (weakref.ref(table), ids)
+        return ids
+
+
+@lru_cache(maxsize=4096)
+def _head_template(tgd: TGD) -> _HeadTemplate:
+    return _HeadTemplate(tgd)
+
+
 def apply_tgd_step(instance: Instance, tgd: TGD, assignment: Assignment,
                    index: int = 0, oblivious: bool = False,
                    nulls: NullFactory = NULLS) -> ChaseStep:
-    """Execute a TGD step in place and return its record."""
-    extension: dict[Variable, GroundTerm] = dict(assignment)
-    fresh: list[Null] = []
-    for var in sorted(tgd.existential_variables(), key=lambda v: v.name):
-        null = nulls.fresh()
-        extension[var] = null
-        fresh.append(null)
-    head_facts = apply_assignment(tgd.head, extension)
-    new_facts = instance.add_all(head_facts)
+    """Execute a TGD step in place and return its record.
+
+    The head is written as interned-id rows through the store's
+    id-level insert (:meth:`repro.storage.base.FactStore.add_row`);
+    fresh nulls are drawn in existential-variable name order.
+    """
+    template = _head_template(tgd)
+    store = instance.store
+    table = store.terms
+    intern = table.intern
+    fresh = [nulls.fresh() for _ in template.existentials]
+    slots = (tuple([intern(assignment[var]) for var in template.frontier])
+             + tuple([intern(null) for null in fresh])
+             + template.constant_ids(table))
+    add_row = store.add_row
+    new_facts = []
+    used: set = set()
+    for relation, gather, null_slots in template.atoms:
+        fact = add_row(relation, gather(slots))
+        if fact is not None:
+            new_facts.append(fact)
+            used |= null_slots
     # Only count nulls that actually made it into a new fact.
-    used = {null for fact in new_facts for null in fact.nulls()}
-    created = tuple(null for null in fresh if null in used)
+    created = tuple(null for slot, null in enumerate(fresh) if slot in used)
     return ChaseStep(index=index, constraint=tgd,
                      assignment=_freeze_assignment(assignment),
                      new_facts=tuple(new_facts), new_nulls=created,

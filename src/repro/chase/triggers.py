@@ -31,27 +31,51 @@ datalog evaluation, kept *lazy* at homomorphism granularity:
   necessarily rewrites its body image, which retires the trigger
   through the delta feed first.
 
-Since the storage-layer refactor every internal key is an interned
-integer id from the working instance's store: the delta queue and the
-per-constraint backlogs carry permanent *fact ids*
-(:meth:`repro.storage.base.FactStore.fact_id` -- stable across EGD
-remove/re-add cycles), the fact -> pending-trigger reverse map is
-keyed on fact ids, and trigger identity plus the satisfied-frontier
-cache are tuples of interned *term ids*.  No ``Atom`` or term is
-hashed on the trigger hot path; atoms are decoded from ids only to run
-the homomorphism search itself.
+Everything on the trigger hot path is an interned integer id from the
+working instance's store:
 
-Trigger identity is the frozen body assignment (the paper's
-``(alpha, mu(x))`` naming of chase steps, Section 2), as interned
-(variable name, term id) pairs.  Keys once seen are never re-enqueued,
-and a suspended enumeration stays sound across instance mutations, for
-the same underlying reason: facts are only ever removed by EGD
-substitutions eliminating a labeled null, null labels are globally
-fresh (:class:`repro.lang.terms.NullFactory`), so a removed fact --
-and hence a retired assignment -- can never come back.  Homomorphisms
+* **Id rows.**  The delta search runs through
+  :func:`repro.homomorphism.engine.find_homomorphisms_through` with a
+  projection onto the constraint's body variables in a fixed order
+  (sorted by name), so each body homomorphism arrives as a tuple of
+  term ids -- and that row *is* the trigger key (the paper's
+  ``(alpha, mu(x))`` naming of chase steps, Section 2).  Under
+  :func:`repro.homomorphism.engine.reference_engine` the same call
+  runs the reference search, whose assignments are interned into the
+  same rows.
+* **Image check.**  Each body atom is compiled to a gather over the
+  row (plus the ids of the constraint's constants); its image is one
+  :meth:`repro.storage.base.FactStore.row_fid` probe, which also yields
+  the fact ids of the fact -> pending-trigger reverse map.
+* **Head probe.**  Settledness is decided by a probe compiled once per
+  TGD: an id-level ``has_row`` for every fully bound head atom, a
+  one-row existence ``scan`` for an atom with existential positions
+  (checking repeated existential variables within it), and the join
+  plan -- through :func:`repro.homomorphism.extend.head_extends` --
+  only when an existential variable is shared by two head atoms (or
+  under the reference engine).  Satisfied frontiers are cached as
+  tuples of ids.
+* **Queues.**  The delta queue and per-constraint backlogs carry
+  permanent *fact ids* (:meth:`repro.storage.base.FactStore.fact_id`
+  -- stable across EGD remove/re-add cycles).
+
+Per trigger, no ``Atom`` or ground term is built or hashed on the
+columnar store, where every probe is an array or dict lookup: an
+:data:`~repro.homomorphism.engine.Assignment` is decoded only when a
+trigger is handed to a strategy.  The term-level work left is
+pinning each backlog fact into the delta search (its bound arguments
+are interned once per expansion) and interning a fired trigger's
+assignment back into its key (:meth:`TriggerIndex.mark_fired`).
+
+Keys once seen are never re-enqueued, and a suspended enumeration
+stays sound across instance mutations, for the same underlying
+reason: facts are only ever removed by EGD substitutions eliminating
+a labeled null, null labels are globally fresh
+(:class:`repro.lang.terms.NullFactory`), so a removed fact -- and
+hence a retired assignment -- can never come back.  Homomorphisms
 that appear *after* a suspension use a newly added fact and are found
-through that fact's own backlog entry; homomorphisms yielded from
-stale enumeration state are filtered by re-validating their body image
+through that fact's own backlog entry; rows yielded from stale
+enumeration state are filtered by re-validating their body image
 against the live instance.
 
 The oblivious mode (Section 3.3's chase variant) keeps every pending
@@ -61,25 +85,192 @@ on :meth:`TriggerIndex.mark_fired` to consume each exactly once.
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import (Deque, Dict, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from collections import deque
+from typing import (Callable, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from repro.homomorphism.engine import (Assignment,
-                                       find_homomorphisms_through)
-from repro.homomorphism.extend import freeze_assignment_ids, head_extends
-from repro.homomorphism.plan import compile_plan
+                                       find_homomorphisms_through,
+                                       reference_mode_active)
+from repro.homomorphism.extend import head_extends
+from repro.homomorphism.plan import tuple_getter
 from repro.lang.constraints import Constraint, EGD, TGD
 from repro.lang.instance import Instance
 from repro.lang.terms import Variable
 from repro.obs.metrics import OBS
-from repro.storage.base import FactId
+from repro.storage.base import FactId, FactStore
 
-#: Hashable identity of a trigger within one constraint: the frozen
-#: body assignment ``mu`` as sorted (variable-name, interned-term-id)
-#: pairs.  Ids come from the working instance's term table, so the key
-#: is two machine ints per variable instead of a boxed term hash.
-TriggerKey = Tuple[Tuple[str, int], ...]
+#: Hashable identity of a trigger within one constraint: the body
+#: assignment ``mu`` as a row of interned term ids, one per body
+#: variable in the constraint's fixed order (sorted by name).
+TriggerKey = Tuple[int, ...]
+
+
+class _Rule:
+    """One constraint's compiled id-level templates and index state.
+
+    Templates work on the *slot row* of a trigger: its key followed by
+    the ids of the constants the constraint mentions.  From it, one
+    C-level gather yields each body atom's image row, the frontier key
+    and each head atom's bound arguments.
+    """
+
+    __slots__ = ("constraint", "body", "variables", "constants", "image",
+                 "equates", "frontier", "head", "pending", "seen",
+                 "backlog", "expanding", "satisfied", "prune")
+
+    def __init__(self, constraint: Constraint, intern,
+                 oblivious: bool) -> None:
+        self.constraint = constraint
+        self.body = list(constraint.body)
+        self.variables: Tuple[Variable, ...] = tuple(sorted(
+            constraint.body_variables(), key=lambda var: var.name))
+        slot = {var: index for index, var in enumerate(self.variables)}
+        constants: List[int] = []
+
+        def slot_of(arg) -> int:
+            if isinstance(arg, Variable):
+                return slot[arg]
+            if arg not in slot:
+                slot[arg] = len(slot)
+                constants.append(intern(arg))
+            return slot[arg]
+
+        #: (relation, arity, gather) per body atom: the image check
+        self.image = tuple((atom.relation, atom.arity,
+                            tuple_getter([slot_of(arg)
+                                          for arg in atom.args]))
+                           for atom in constraint.body)
+        #: EGD: the two key slots that must differ for activity
+        self.equates: Optional[Tuple[int, int]] = None
+        self.frontier: Callable = tuple_getter(())
+        #: TGD head probe: per head atom (relation, arity, gather of
+        #: the bound arguments, the scan's bound positions or None when
+        #: the atom is fully bound, repeated-existential position
+        #: pairs); None when the join plan has to decide (an
+        #: existential variable shared by two head atoms)
+        self.head: Optional[tuple] = None
+        frontier: List[Variable] = []
+        if isinstance(constraint, EGD):
+            self.equates = (slot[constraint.lhs], slot[constraint.rhs])
+        elif isinstance(constraint, TGD):
+            frontier = sorted(constraint.frontier_variables(),
+                              key=lambda var: var.name)
+            self.frontier = tuple_getter([slot[var] for var in frontier])
+            self.head = self._compile_head(constraint, slot_of)
+        self.constants: Tuple[int, ...] = tuple(constants)
+        #: materialized triggers that were active when discovered, in
+        #: discovery order
+        self.pending: Dict[TriggerKey, None] = {}
+        #: every key ever discovered (pending, fired, settled)
+        self.seen: Set[TriggerKey] = set()
+        #: added fact ids not yet expanded
+        self.backlog: Deque[FactId] = deque()
+        #: suspended delta enumeration of the backlog fact in expansion
+        self.expanding: Optional[Iterator[TriggerKey]] = None
+        #: frontier keys whose TGD head is known to extend; sound to
+        #: cache because satisfaction is permanent (module docstring)
+        self.satisfied: Set[tuple] = set()
+        self.prune = self._prune(frontier, intern, oblivious)
+
+    @staticmethod
+    def _compile_head(tgd: TGD, slot_of) -> Optional[tuple]:
+        existentials = tgd.existential_variables()
+        holders: Dict[Variable, int] = {}
+        for atom in tgd.head:
+            for var in atom.variables() & existentials:
+                holders[var] = holders.get(var, 0) + 1
+        if any(count > 1 for count in holders.values()):
+            return None
+        probes = []
+        for atom in tgd.head:
+            bound_positions: List[int] = []
+            bound_slots: List[int] = []
+            first: Dict[Variable, int] = {}
+            repeats: List[Tuple[int, int]] = []
+            for position, arg in enumerate(atom.args):
+                if arg in existentials:
+                    if arg in first:
+                        repeats.append((position, first[arg]))
+                    else:
+                        first[arg] = position
+                else:
+                    bound_positions.append(position)
+                    bound_slots.append(slot_of(arg))
+            probes.append((atom.relation, atom.arity,
+                           tuple_getter(bound_slots),
+                           tuple(bound_positions) if first else None,
+                           tuple(repeats)))
+        return tuple(probes)
+
+    def _prune(self, frontier_vars: List[Variable], intern,
+               oblivious: bool):
+        """A search-pruning predicate for the delta enumeration.
+
+        Prunes subtrees guaranteed to yield only settled homomorphisms:
+        TGD bindings whose fully-bound frontier is cached as satisfied
+        (every completion shares that frontier), and EGD bindings that
+        already equate the two sides (every completion stays trivial).
+        Sound in the standard chase only -- the oblivious chase must
+        fire satisfied TGD triggers, so there no pruning happens.
+
+        The predicates accept both binding flavours: the plan engine
+        calls them with interned ids (int equality, direct cache
+        lookups), the reference engine with ground terms (interned on
+        the fly for the frontier cache).
+        """
+        constraint = self.constraint
+        if isinstance(constraint, EGD):
+            lhs, rhs = constraint.lhs, constraint.rhs
+
+            def prune_egd(binding):
+                left = binding.get(lhs)
+                return left is not None and left == binding.get(rhs)
+            # Declaring the variables the predicate reads lets the plan
+            # executor abandon a whole scan on the first True when the
+            # scanned atom binds none of them (the predicate's answer
+            # cannot change row to row).
+            prune_egd.depends_on = frozenset((lhs, rhs))
+            return prune_egd
+        if oblivious:
+            return None
+        cache = self.satisfied
+        frontier_vars = tuple(frontier_vars)
+
+        def prune_tgd(binding):
+            values = []
+            for var in frontier_vars:
+                value = binding.get(var)
+                if value is None:
+                    return False
+                values.append(value if type(value) is int
+                              else intern(value))
+            return tuple(values) in cache
+        prune_tgd.depends_on = frozenset(frontier_vars)
+        return prune_tgd
+
+    def slots(self, key: TriggerKey) -> tuple:
+        """The slot row of a trigger key."""
+        return key + self.constants if self.constants else key
+
+    def head_holds(self, store: FactStore, slots: tuple) -> bool:
+        """Does the TGD head extend under the frontier in ``slots``?
+        ``has_row`` per fully bound head atom, a one-row existence scan
+        per atom with existential positions."""
+        has_row = store.has_row
+        scan = store.scan
+        for relation, arity, gather, positions, repeats in self.head:
+            bound = gather(slots)
+            if positions is None:
+                if not has_row(relation, arity, bound):
+                    return False
+                continue
+            for row in scan(relation, arity, list(zip(positions, bound))):
+                if all(row[left] == row[right] for left, right in repeats):
+                    break
+            else:
+                return False
+        return True
 
 
 class TriggerIndex:
@@ -101,40 +292,21 @@ class TriggerIndex:
         self._store = instance.store
         self._table = instance.store.terms
         self._oblivious = oblivious
-        #: materialized triggers that were active when discovered
-        self._pending: Dict[Constraint, "OrderedDict[TriggerKey, Assignment]"] = {
-            constraint: OrderedDict() for constraint in self._sigma}
-        #: every assignment ever discovered (pending, fired, settled)
-        self._seen: Dict[Constraint, Set[TriggerKey]] = {
-            constraint: set() for constraint in self._sigma}
-        #: fact id -> pending triggers whose body image uses the fact
-        self._by_fact: Dict[FactId, Set[Tuple[Constraint, TriggerKey]]] = {}
-        self._body_relations: Dict[Constraint, Set[str]] = {
-            constraint: {atom.relation for atom in constraint.body}
-            for constraint in self._sigma}
-        #: inverted routing map: relation -> constraints mentioning it,
-        #: so refresh() is O(interested constraints) per added fact
-        self._constraints_by_relation: Dict[str, List[Constraint]] = {}
+        intern = self._table.intern
+        self._rules: Dict[Constraint, _Rule] = {}
         for constraint in self._sigma:
-            for relation in self._body_relations[constraint]:
-                self._constraints_by_relation.setdefault(
-                    relation, []).append(constraint)
-        #: added fact ids not yet expanded, per constraint
-        self._backlog: Dict[Constraint, Deque[FactId]] = {
-            constraint: deque() for constraint in self._sigma}
-        #: suspended delta enumeration for the backlog fact being expanded
-        self._expanding: Dict[Constraint, Optional[Iterator[Assignment]]] = {
-            constraint: None for constraint in self._sigma}
-        #: interned frontier bindings whose TGD head is known to extend;
-        #: sound to cache because satisfaction is permanent (module
-        #: docstring)
-        self._satisfied_frontiers: Dict[Constraint, Set[tuple]] = {
-            constraint: set() for constraint in self._sigma}
-        self._frontiers: Dict[Constraint, List] = {
-            constraint: sorted(constraint.frontier_variables(),
-                               key=lambda v: v.name)
-            if isinstance(constraint, TGD) else []
-            for constraint in self._sigma}
+            if constraint not in self._rules:
+                self._rules[constraint] = _Rule(constraint, intern,
+                                                oblivious)
+        #: fact id -> pending triggers whose body image uses the fact
+        self._by_fact: Dict[FactId, Set[Tuple[_Rule, TriggerKey]]] = {}
+        #: inverted routing map: relation -> rules whose body mentions
+        #: it, so refresh() is O(interested constraints) per added fact
+        self._rules_by_relation: Dict[str, List[_Rule]] = {}
+        for rule in self._rules.values():
+            for relation in {atom.relation for atom in rule.body}:
+                self._rules_by_relation.setdefault(relation,
+                                                   []).append(rule)
         #: buffered deltas: (op, fact id)
         self._events: Deque[Tuple[str, FactId]] = deque()
         self._attached = False
@@ -146,18 +318,23 @@ class TriggerIndex:
         # Empty-body TGDs (axioms) have the empty homomorphism as their
         # one body trigger; its image uses no fact, so delta discovery
         # would never surface it -- seed it explicitly.
-        for constraint in self._sigma:
-            if not constraint.body:
-                self._seen[constraint].add(())
-                if not self._is_settled(constraint, {}):
-                    self._pending[constraint][()] = {}
+        for rule in self._rules.values():
+            if not rule.body:
+                rule.seen.add(())
+                if not self._settled(rule, ()):
+                    rule.pending[()] = None
 
     # ------------------------------------------------------------------
     # Trigger identity
     # ------------------------------------------------------------------
-    def _freeze(self, assignment: Assignment) -> TriggerKey:
-        """The interned trigger key of a body assignment ``mu``."""
-        return freeze_assignment_ids(assignment, self._table)
+    def _freeze(self, rule: _Rule, assignment: Assignment) -> TriggerKey:
+        """The trigger key of a body assignment ``mu``."""
+        intern = self._table.intern
+        return tuple([intern(assignment[var]) for var in rule.variables])
+
+    def _decode(self, rule: _Rule, key: TriggerKey) -> Assignment:
+        """The body assignment ``mu`` of a trigger key."""
+        return dict(zip(rule.variables, map(self._table.term, key)))
 
     # ------------------------------------------------------------------
     # InstanceListener protocol: buffer deltas, processed on refresh()
@@ -198,18 +375,17 @@ class TriggerIndex:
                 self._retire_fact(fid)
                 continue
             relation = self._store.fact_of(fid).relation
-            for constraint in self._constraints_by_relation.get(relation, ()):
-                self._backlog[constraint].append(fid)
+            for rule in self._rules_by_relation.get(relation, ()):
+                rule.backlog.append(fid)
 
     def _retire_fact(self, fid: FactId) -> None:
-        for constraint, key in self._by_fact.pop(fid, ()):
-            self._pending[constraint].pop(key, None)
+        for rule, key in self._by_fact.pop(fid, ()):
+            rule.pending.pop(key, None)
 
     # ------------------------------------------------------------------
     # Activity
     # ------------------------------------------------------------------
-    def _is_settled(self, constraint: Constraint,
-                    assignment: Assignment) -> bool:
+    def _settled(self, rule: _Rule, key: TriggerKey) -> bool:
         """Is the trigger *inactive for good* (safe to drop)?
 
         Standard chase: a satisfied trigger stays satisfied while its
@@ -217,101 +393,52 @@ class TriggerIndex:
         the trigger can be removed permanently.  Oblivious chase: only
         trivial EGD triggers (``mu(x_i) = mu(x_j)``) are settled.
         """
-        if isinstance(constraint, EGD):
-            return assignment[constraint.lhs] == assignment[constraint.rhs]
+        if rule.equates is not None:
+            left, right = rule.equates
+            return key[left] == key[right]
         if self._oblivious:
             return False
-        assert isinstance(constraint, TGD)
         # Satisfaction only depends on the frontier binding, and stays
         # true once established -- so one check covers every body
         # homomorphism sharing the frontier (a big saving for bodies
         # with non-frontier join variables).
-        intern = self._table.intern
-        frontier = tuple(intern(assignment[var])
-                         for var in self._frontiers[constraint])
-        cache = self._satisfied_frontiers[constraint]
-        if frontier in cache:
+        slots = rule.slots(key)
+        frontier = rule.frontier(slots)
+        if frontier in rule.satisfied:
             if OBS.enabled:
                 OBS.inc("triggers.frontier_prune_hits")
             return True
-        if head_extends(constraint, self._instance, assignment):
-            cache.add(frontier)
-            return True
-        return False
+        if rule.head is None or reference_mode_active():
+            holds = head_extends(rule.constraint, self._instance,
+                                 self._decode(rule, key))
+        else:
+            holds = rule.head_holds(self._store, slots)
+        if holds:
+            rule.satisfied.add(frontier)
+        return holds
 
     # ------------------------------------------------------------------
     # Expansion (lazy semi-naive delta search)
     # ------------------------------------------------------------------
-    def _prune_for(self, constraint: Constraint):
-        """A search-pruning predicate for the delta enumeration.
-
-        Prunes subtrees guaranteed to yield only settled homomorphisms:
-        TGD bindings whose fully-bound frontier is cached as satisfied
-        (every completion shares that frontier), and EGD bindings that
-        already equate the two sides (every completion stays trivial).
-        Sound in the standard chase only -- the oblivious chase must
-        fire satisfied TGD triggers, so there no pruning happens.
-
-        The predicates accept both binding flavours: the plan engine
-        calls them with interned ids (int equality, direct cache
-        lookups), the reference engine with ground terms (interned on
-        the fly for the frontier cache).
-        """
-        if isinstance(constraint, EGD):
-            lhs, rhs = constraint.lhs, constraint.rhs
-
-            def prune_egd(binding):
-                left = binding.get(lhs)
-                return left is not None and left == binding.get(rhs)
-            # Declaring the variables the predicate reads lets the plan
-            # executor abandon a whole scan on the first True when the
-            # scanned atom binds none of them (the predicate's answer
-            # cannot change row to row).
-            prune_egd.depends_on = frozenset((lhs, rhs))
-            return prune_egd
-        if self._oblivious:
-            return None
-        frontier_vars = self._frontiers[constraint]
-        cache = self._satisfied_frontiers[constraint]
-        intern = self._table.intern
-
-        def prune_tgd(binding):
-            values = []
-            for var in frontier_vars:
-                value = binding.get(var)
-                if value is None:
-                    return False
-                values.append(value if type(value) is int
-                              else intern(value))
-            return tuple(values) in cache
-        prune_tgd.depends_on = frozenset(frontier_vars)
-        return prune_tgd
-
-    def _expand_backlog(self, constraint: Constraint,
-                        found: List[Assignment],
-                        found_keys: Set[TriggerKey],
+    def _expand_backlog(self, rule: _Rule, found: Dict[TriggerKey, None],
                         cap: Optional[int]) -> None:
         """Expand backlog facts until ``cap`` active triggers are in
         ``found`` or nothing is left to expand.
 
         The enumeration for the fact currently being expanded is kept
-        suspended between calls; yielded assignments are re-validated
-        against the live instance (module docstring explains why this
-        is sound across mutations).
+        suspended between calls; yielded rows are re-validated against
+        the live instance (module docstring explains why this is sound
+        across mutations).
         """
         store = self._store
-        intern = self._table.intern
-        seen = self._seen[constraint]
-        backlog = self._backlog[constraint]
-        body = list(constraint.body)
-        # The compiled plan of the body doubles as its id-level image
-        # template: body atoms are re-grounded as interned-id tuples,
-        # validated with one row_fid probe each -- no Atom is built or
-        # hashed on this path.
-        specs = compile_plan(constraint.body).specs
-        prune = self._prune_for(constraint)
+        row_fid = store.row_fid
+        by_fact = self._by_fact
+        seen = rule.seen
+        pending = rule.pending
+        backlog = rule.backlog
+        image = rule.image
         while True:
-            enumeration = self._expanding[constraint]
+            enumeration = rule.expanding
             if enumeration is None:
                 fact = None
                 while backlog:
@@ -325,64 +452,52 @@ class TriggerIndex:
                     OBS.inc("triggers.backlog_expanded")
                     OBS.observe("triggers.backlog_depth", len(backlog))
                 enumeration = find_homomorphisms_through(
-                    body, self._instance, fact, prune=prune)
-                self._expanding[constraint] = enumeration
-            for assignment in enumeration:
-                ids_by_var = {var: intern(value)
-                              for var, value in assignment.items()}
-                # Inlined freeze_assignment_ids (reusing ids_by_var so
-                # each value is interned once) -- must keep producing
-                # the same key shape as :meth:`_freeze`.
-                key = tuple(sorted((var.name, tid)
-                                   for var, tid in ids_by_var.items()))
+                    rule.body, self._instance, fact, prune=rule.prune,
+                    project=rule.variables)
+                rule.expanding = enumeration
+            for key in enumeration:
                 if key in seen:
                     continue
+                slots = rule.slots(key)
                 image_fids = []
-                stale = False
-                for spec in specs:
-                    ids = tuple(ids_by_var[arg]
-                                if isinstance(arg, Variable) else intern(arg)
-                                for arg in spec.args)
-                    fid = store.row_fid(spec.relation, spec.arity, ids)
+                for relation, arity, gather in image:
+                    fid = row_fid(relation, arity, gather(slots))
                     if fid is None:
-                        stale = True  # an image fact was removed
-                        break
+                        break  # an image fact was removed: stale yield
                     image_fids.append(fid)
-                if stale:
-                    continue
-                seen.add(key)
-                if self._is_settled(constraint, assignment):
-                    continue  # remembered, never enqueued
-                # The engine yields a fresh dict per assignment; safe
-                # to keep without copying.
-                self._pending[constraint][key] = assignment
-                for fid in image_fids:
-                    self._by_fact.setdefault(fid, set()).add(
-                        (constraint, key))
-                found.append(dict(assignment))
-                found_keys.add(key)
-                if cap is not None and len(found) >= cap:
-                    return  # enumeration stays suspended for next time
-            self._expanding[constraint] = None  # fact fully expanded
+                else:
+                    seen.add(key)
+                    if self._settled(rule, key):
+                        continue  # remembered, never enqueued
+                    pending[key] = None
+                    entry = (rule, key)
+                    for fid in image_fids:
+                        holders = by_fact.get(fid)
+                        if holders is None:
+                            by_fact[fid] = {entry}
+                        else:
+                            holders.add(entry)
+                    found[key] = None
+                    if cap is not None and len(found) >= cap:
+                        return  # enumeration stays suspended
+            rule.expanding = None  # fact fully expanded
 
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------
-    def _collect_active(self, constraint: Constraint,
-                        found: List[Assignment], found_keys: Set[TriggerKey],
+    def _collect_active(self, rule: _Rule, found: Dict[TriggerKey, None],
                         cap: Optional[int]) -> None:
         """One pass over the materialized queue: drop settled triggers,
         collect active ones not yet in ``found`` (up to ``cap``)."""
-        pending = self._pending[constraint]
+        pending = rule.pending
         settled: List[TriggerKey] = []
-        for key, assignment in pending.items():
-            if key in found_keys:
+        for key in pending:
+            if key in found:
                 continue
-            if self._is_settled(constraint, assignment):
+            if self._settled(rule, key):
                 settled.append(key)
                 continue
-            found.append(dict(assignment))
-            found_keys.add(key)
+            found[key] = None
             if cap is not None and len(found) >= cap:
                 break
         if settled and OBS.enabled:
@@ -393,7 +508,7 @@ class TriggerIndex:
     def tracks(self, constraint: Constraint) -> bool:
         """Is ``constraint`` part of the indexed set?  (Strategies fall
         back to naive enumeration for untracked constraints.)"""
-        return constraint in self._pending
+        return constraint in self._rules
 
     def active_triggers(self, constraint: Constraint,
                         cap: Optional[int] = None) -> List[Assignment]:
@@ -403,14 +518,15 @@ class TriggerIndex:
         Expands backlog deltas only while fewer than ``cap`` active
         triggers are materialized, so divergent runs -- where an active
         trigger is always at hand -- do almost no delta searching.
+        Only the returned triggers are decoded into assignments.
         """
         self.refresh()
-        found: List[Assignment] = []
-        found_keys: Set[TriggerKey] = set()
-        self._collect_active(constraint, found, found_keys, cap)
+        rule = self._rules[constraint]
+        found: Dict[TriggerKey, None] = {}
+        self._collect_active(rule, found, cap)
         if cap is None or len(found) < cap:
-            self._expand_backlog(constraint, found, found_keys, cap)
-        return found
+            self._expand_backlog(rule, found, cap)
+        return [self._decode(rule, key) for key in found]
 
     def next_active(self, constraint: Constraint) -> Optional[Assignment]:
         """The first pending active trigger of ``constraint``, or None
@@ -435,29 +551,31 @@ class TriggerIndex:
                    assignment: Assignment) -> None:
         """Consume a trigger that was just executed (it stays *seen*,
         so it can never be re-discovered and re-fired)."""
-        self._pending[constraint].pop(self._freeze(assignment), None)
+        rule = self._rules[constraint]
+        rule.pending.pop(self._freeze(rule, assignment), None)
 
     # ------------------------------------------------------------------
     # Introspection (tests, diagnostics)
     # ------------------------------------------------------------------
-    def _materialize(self, constraint: Constraint) -> None:
-        """Expand the full backlog of ``constraint`` (introspection)."""
+    def _materialize(self, rule: _Rule) -> None:
+        """Expand the full backlog of ``rule`` (introspection)."""
         self.refresh()
-        self._expand_backlog(constraint, [], set(), None)
+        self._expand_backlog(rule, {}, None)
 
     def pending_count(self, constraint: Optional[Constraint] = None) -> int:
         """Number of pending (discovered-active, not yet retired/fired)
         triggers, after materializing any outstanding backlog."""
-        targets = [constraint] if constraint is not None else self._sigma
-        for target in targets:
-            self._materialize(target)
-        return sum(len(self._pending[target]) for target in set(targets))
+        targets = ([self._rules[constraint]] if constraint is not None
+                   else list(self._rules.values()))
+        for rule in targets:
+            self._materialize(rule)
+        return sum(len(rule.pending) for rule in targets)
 
     def pending_assignments(self, constraint: Constraint
                             ) -> List[Assignment]:
         """A snapshot of the pending queue of ``constraint`` (in
         discovery order, without activity re-filtering), after
         materializing any outstanding backlog."""
-        self._materialize(constraint)
-        return [dict(assignment)
-                for assignment in self._pending[constraint].values()]
+        rule = self._rules[constraint]
+        self._materialize(rule)
+        return [self._decode(rule, key) for key in rule.pending]

@@ -60,7 +60,7 @@ from repro.lang.errors import NonTerminationBudget, ReproError
 from repro.lang.instance import Instance
 from repro.lang.parser import (parse_constraints, parse_instance,
                                parse_query)
-from repro.storage import backend_names
+from repro.storage import DEFAULT_BACKEND, backend_names
 from repro.termination import analyze
 from repro import viz
 
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="arm the Section 4.2 monitor (0 = off)")
     p.add_argument("--backend", choices=backend_names(), default=None,
                    help="fact-store backend (default: $REPRO_BACKEND "
-                        "or 'set')")
+                        f"or {DEFAULT_BACKEND!r})")
     obs_options(p)
     p.set_defaults(func=cmd_chase)
 

@@ -170,12 +170,15 @@ class OracleContext:
         execution order happens to agree.  ``no_batch`` pins the run
         to the tuple-at-a-time path (``batch_disabled()``).
         """
-        key = ("chase", backend, strategy_key, reference, no_batch)
+        instance = case.instance
+        # Keyed on the backend the chase really runs on, so the plain
+        # run and an explicit request for the same backend share it.
+        effective = instance.backend if backend is None else backend
+        key = ("chase", effective, strategy_key, reference, no_batch)
         if key in self._memo:
             return self._memo[key]
-        instance = case.instance
-        if backend is not None and instance.backend != backend:
-            instance = Instance(instance, backend=backend)
+        if instance.backend != effective:
+            instance = Instance(instance, backend=effective)
         if strategy_key == "round_robin":
             strategy = RoundRobinStrategy()
         elif strategy_key == "stratified":

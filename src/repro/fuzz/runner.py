@@ -61,21 +61,31 @@ def oracle_deadline(seconds: Optional[float]):
     Uses ``SIGALRM``, so it only arms on the main thread (elsewhere,
     and with ``seconds`` falsy, the block runs unguarded); the chase's
     own wall-clock budget still applies either way.
+
+    The alarm's exception can land where Python swallows exceptions (a
+    ``gc`` callback, a ``__del__``), so the timer re-fires every
+    ``seconds`` until the block ends, and a block that completes after
+    a swallowed alarm still raises :class:`OracleTimeout` on exit: an
+    overrun is a skip whichever way it ends, never a verdict.
     """
     if not seconds or threading.current_thread() is not threading.main_thread():
         yield
         return
+    fired = []
 
     def _fire(signum, frame):
+        fired.append(signum)
         raise OracleTimeout()
 
     previous = signal.signal(signal.SIGALRM, _fire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, seconds, seconds)
     try:
         yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    if fired:
+        raise OracleTimeout()
 
 
 @dataclass

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from typing import (Callable, Dict, Iterable, Iterator, Mapping, Optional,
-                    Sequence)
+                    Sequence, Tuple)
 
 from contextlib import contextmanager
 
@@ -155,7 +155,8 @@ def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
                                partial: Optional[Mapping[Variable, GroundTerm]] = None,
                                limit: Optional[int] = None,
                                prune: Optional[Callable[[Mapping[Variable, GroundTerm]],
-                                                        bool]] = None
+                                                        bool]] = None,
+                               project: Optional[Tuple[Variable, ...]] = None
                                ) -> Iterator[Assignment]:
     """Enumerate homomorphisms whose image uses ``delta_fact``.
 
@@ -169,21 +170,32 @@ def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
 
     A homomorphism using the delta fact at several positions is
     yielded once: when more than one atom unifies, results are
-    deduplicated on their frozen assignment.  In the common single-pin
-    case -- the delta fact unifies with exactly one body atom -- no
-    duplicate can arise (within one pin, a complete binding determines
-    every matched fact), so the per-yield dedup hashing is skipped
-    entirely.
+    deduplicated.  In the common single-pin case -- the delta fact
+    unifies with exactly one body atom -- no duplicate can arise
+    (within one pin, a complete binding determines every matched
+    fact), so the per-yield dedup hashing is skipped entirely.
+
+    ``project``, if given, is a tuple naming every variable of
+    ``atoms``: each homomorphism is then yielded as a row of interned
+    term ids of ``instance``'s store in that variable order, instead
+    of a decoded assignment (the projection push-down of
+    :meth:`JoinPlan.execute`).  Under :func:`reference_engine` the
+    reference search runs and its assignments are interned into the
+    same rows.
 
     This is the workhorse of :class:`repro.chase.triggers.TriggerIndex`:
     after a chase step adds facts, only these restricted searches run,
     instead of re-enumerating every body homomorphism from scratch.
     """
     if _reference_mode:
-        yield from reference_find_homomorphisms_through(
+        found = reference_find_homomorphisms_through(
             atoms, instance, delta_fact, partial=partial, limit=limit,
             prune=prune)
-        return
+        if project is None:
+            return found
+        intern = instance.store.terms.intern
+        return (tuple([intern(assignment[var]) for var in project])
+                for assignment in found)
     plan = compile_plan(tuple(atoms))
     store = instance.store
     base: Assignment = dict(partial) if partial else {}
@@ -193,11 +205,13 @@ def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
         if entries is not None:
             pins.append((index, entries))
     if not pins:
-        return
+        return iter(())
     if len(pins) == 1:
+        # The plan's own generator is handed out directly: no wrapper
+        # frame per yield on the trigger index's hot path.
         index, entries = pins[0]
         if limit is None and prune is None and _batch_mode \
-                and not _reference_mode and store.supports_batch():
+                and store.supports_batch():
             # Exhaustive, prune-free single-pin searches vectorize;
             # execute_batch still falls back per shape (tiny delta
             # neighborhoods stay tuple-at-a-time).  Searches carrying a
@@ -207,25 +221,31 @@ def find_homomorphisms_through(atoms: Sequence[Atom], instance: Instance,
             # (a frontier fires between pulls and the resumed scan is
             # abandoned), so breadth-first materialization would do all
             # the join work the prune exists to skip.
-            yield from plan.execute_batch(store, partial=base,
-                                          pin_index=index,
-                                          pin_entries=entries)
-            return
-        yield from plan.execute(store, partial=base, pin_index=index,
-                                pin_entries=entries, limit=limit,
-                                prune=prune)
-        return
+            return plan.execute_batch(store, partial=base, pin_index=index,
+                                      pin_entries=entries, project=project)
+        return plan.execute(store, partial=base, pin_index=index,
+                            pin_entries=entries, limit=limit, prune=prune,
+                            project=project)
+    return _deduplicated(plan, store, base, pins, limit, prune, project)
+
+
+def _deduplicated(plan, store, base, pins, limit, prune, project
+                  ) -> Iterator:
+    """The multi-pin delta search: one pinned execution per unifying
+    atom, each homomorphism yielded once."""
     seen: set = set()
     produced = 0
     for index, entries in pins:
-        for assignment in plan.execute(store, partial=base, pin_index=index,
-                                       pin_entries=entries, prune=prune):
-            key = frozenset(assignment.items())
+        for result in plan.execute(store, partial=base, pin_index=index,
+                                   pin_entries=entries, prune=prune,
+                                   project=project):
+            key = result if project is not None \
+                else frozenset(result.items())
             if key in seen:
                 continue
             seen.add(key)
             produced += 1
-            yield assignment
+            yield result
             if limit is not None and produced >= limit:
                 return
 

@@ -107,7 +107,7 @@ def freeze_assignment(assignment: Mapping[Variable, GroundTerm]) -> tuple:
     """The canonical hashable form of a body assignment ``mu`` --
     sorted (variable-name, value) pairs.  Used where the key must be
     self-describing (chase-step records); the id-keyed variant
-    :func:`freeze_assignment_ids` serves the hot paths."""
+    :func:`freeze_assignment_ids` serves the naive oblivious runner."""
     return tuple(sorted(((var.name, value)
                          for var, value in assignment.items()),
                         key=lambda kv: kv[0]))
@@ -118,9 +118,7 @@ def freeze_assignment_ids(assignment: Mapping[Variable, GroundTerm],
     """Like :func:`freeze_assignment`, but with each term interned to
     its dense id in ``table`` (a :class:`repro.storage.TermTable`) --
     two machine ints per variable instead of a boxed term hash.  The
-    trigger identity used by the incremental
-    :class:`repro.chase.triggers.TriggerIndex` and the naive oblivious
-    runner's fired set."""
+    trigger identity of the naive oblivious runner's fired set."""
     intern = table.intern
     return tuple(sorted(
         (var.name, intern(value)) for var, value in assignment.items()))

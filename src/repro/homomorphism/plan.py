@@ -51,8 +51,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import repeat
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Set,
-                    Tuple)
+from operator import itemgetter
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.lang.atoms import Atom
 from repro.lang.terms import GroundTerm, Variable
@@ -64,6 +65,20 @@ from repro.storage.base import FactStore
 
 #: A complete (or partial) homomorphism: variable -> ground term.
 Assignment = Dict[Variable, GroundTerm]
+
+
+def tuple_getter(keys: Sequence) -> Callable:
+    """A C-level callable mapping a row (tuple, or dict) to the tuple of
+    its entries at ``keys`` -- ``itemgetter`` with the one-key and
+    no-key cases also returning tuples.  The id-level templates of the
+    chase (body images, head rows, frontier keys, projections) are all
+    built from it."""
+    if len(keys) == 1:
+        key, = keys
+        return lambda row: (row[key],)
+    if not keys:
+        return lambda row: ()
+    return itemgetter(*keys)
 
 
 class _AtomSpec:
@@ -266,8 +281,10 @@ class JoinPlan:
                 return {var: term_of(tid)
                         for var, tid in binding_ids.items()}
         else:
+            pick = tuple_getter(project)
+
             def emit():
-                return tuple(binding_ids[var] for var in project)
+                return pick(binding_ids)
         if prune is not None and prune(binding_ids):
             return
         if pin_entries:

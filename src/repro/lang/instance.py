@@ -6,16 +6,17 @@ is a thin facade: all physical concerns -- indexes, term interning,
 fact ids, the change-listener delta feed -- live in a
 :class:`repro.storage.base.FactStore` backend:
 
-* ``backend="set"`` (:class:`repro.storage.set_store.SetStore`) keeps
-  the reference dict-of-sets layout;
 * ``backend="column"``
   (:class:`repro.storage.column_store.ColumnStore`) stores
   per-relation columnar tuples of interned term ids with array-backed
   posting lists -- the layout the compiled join plans of
-  :mod:`repro.homomorphism.plan` execute against.
+  :mod:`repro.homomorphism.plan` and the chase's id-level trigger
+  probes execute against;
+* ``backend="set"`` (:class:`repro.storage.set_store.SetStore`) keeps
+  the reference dict-of-sets layout.
 
 When ``backend`` is omitted the ``REPRO_BACKEND`` environment variable
-decides (default ``set``).  Both backends are interchangeable: the
+decides (default ``column``).  Both backends are interchangeable: the
 facade API, the listener event order, and the chase results are
 identical (cross-validated in ``tests/storage/test_stores.py``).
 

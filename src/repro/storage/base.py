@@ -13,12 +13,13 @@ per-fact dense ids.  Two backends ship with the library:
 
 Backends are selected per instance via ``Instance(backend=...)`` or,
 when that argument is omitted, the ``REPRO_BACKEND`` environment
-variable (``set`` | ``column``, default ``set``).
+variable (``set`` | ``column``, default ``column``).
 
 The mutation entry points (:meth:`FactStore.add`,
-:meth:`FactStore.discard`, :meth:`FactStore.substitute_term`) are
-template methods: subclasses implement the physical ``_insert`` /
-``_remove`` / ``facts_with_term``, the base class guarantees uniform
+:meth:`FactStore.add_row`, :meth:`FactStore.discard`,
+:meth:`FactStore.substitute_term`) are template methods: subclasses
+implement the physical ``_insert`` / ``_remove`` /
+``facts_with_term``, the base class guarantees uniform
 listener semantics -- listeners fire *after* the indexes are updated,
 in registration order, and an EGD substitution emits each fact's
 removal before the corresponding (possibly merged-away) addition, in
@@ -47,8 +48,10 @@ FactId = int
 #: Environment variable consulted when no explicit backend is chosen.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-#: Default backend name (the reference layout).
-DEFAULT_BACKEND = "set"
+#: Default backend name: the columnar store, on which the chase's
+#: id-level probes (``has_row``, ``row_fid``, ``add_row``) are array
+#: and dict lookups.  ``set`` stays as the reference layout.
+DEFAULT_BACKEND = "column"
 
 
 class PostingList:
@@ -194,10 +197,28 @@ class FactStore:
             raise SchemaError(f"cannot store non-ground atom {fact}")
         if not self._insert(fact):
             return False
+        self._added(fact)
+        return True
+
+    def add_row(self, relation: str, ids: Tuple[TermId, ...]
+                ) -> Optional[Atom]:
+        """Insert the fact with these interned argument ids (the chase
+        step's id-level write).  Returns the fact when it was new, else
+        None; listeners see the same ``fact_added`` as for :meth:`add`.
+
+        This generic version decodes the ids and goes through
+        :meth:`add`; backends that store ids natively override it.
+        """
+        term_of = self._terms.term
+        fact = Atom(relation, tuple([term_of(tid) for tid in ids]))
+        return fact if self.add(fact) else None
+
+    def _added(self, fact: Atom) -> None:
+        """Bookkeeping after a successful insertion: bump the
+        generation, then notify listeners in registration order."""
         self._generation += 1
         for listener in self._listeners:
             listener.fact_added(fact)
-        return True
 
     def add_all(self, facts: Iterable[Atom]) -> List[Atom]:
         """Insert many facts; return the ones that were actually new."""

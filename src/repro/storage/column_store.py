@@ -157,27 +157,56 @@ class ColumnStore(FactStore):
     # ------------------------------------------------------------------
     def _insert(self, fact: Atom) -> bool:
         intern = self._terms.intern
-        ids = tuple(intern(term) for term in fact.args)
+        ids = tuple([intern(term) for term in fact.args])
         bucket = self._bucket(fact.relation, fact.arity, create=True)
         if ids in bucket.row_of:
             return False
-        key = (fact.relation, ids)
+        self._append(bucket, ids, fact)
+        return True
+
+    def add_row(self, relation: str, ids: Tuple[TermId, ...]
+                ) -> Optional[Atom]:
+        """Native id-level insert: duplicate detection is one
+        ``row_of`` lookup, and an ``Atom`` is built only for a fact
+        never stored before (a re-inserted one reuses its own)."""
+        bucket = self._bucket(relation, len(ids), create=True)
+        if ids in bucket.row_of:
+            return None
+        fact = self._append(bucket, ids, None)
+        self._added(fact)
+        return fact
+
+    def _append(self, bucket: _Bucket, ids: Tuple[TermId, ...],
+                fact: Optional[Atom]) -> Atom:
+        """Store a fact known to be absent -- fact id, row, statistics
+        -- and return it (when ``fact`` is None: the registered atom of
+        a known fact id, else one decoded from ``ids``)."""
+        relation = bucket.relation
+        key = (relation, ids)
         fid = self._fid_of.get(key)
         if fid is None:
+            if fact is None:
+                term_of = self._terms.term
+                fact = Atom(relation, tuple([term_of(tid) for tid in ids]))
             fid = len(self._atoms)
             self._fid_of[key] = fid
             self._atoms.append(fact)
             self._fid_alive.append(1)
         else:
+            if fact is None:
+                fact = self._atoms[fid]
             self._fid_alive[fid] = 1
         bucket.append(ids, fid)
         self._last_inserted = (fact, fid)
         self._live_count += 1
+        term_pos = self._term_pos
         for position, tid in enumerate(ids):
-            occurrences = self._term_pos.setdefault(tid, {})
-            spot = (fact.relation, position)
+            occurrences = term_pos.get(tid)
+            if occurrences is None:
+                occurrences = term_pos[tid] = {}
+            spot = (relation, position)
             occurrences[spot] = occurrences.get(spot, 0) + 1
-        return True
+        return fact
 
     def _remove(self, fact: Atom) -> bool:
         id_of = self._terms.id_of
@@ -388,8 +417,8 @@ class ColumnStore(FactStore):
         if len(smallest) <= 8:
             # Short posting: the plain loop beats the chunk machinery.
             for row in smallest:
-                if alive[row] and all(column[row] == tid
-                                      for column, tid in probes):
+                if alive[row] and (not probes or all(
+                        column[row] == tid for column, tid in probes)):
                     yield tuple([column[row] for column in columns])
             return
         # Adaptive chunking: the first chunks are tiny so existence

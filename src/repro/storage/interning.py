@@ -28,7 +28,9 @@ TermId = int
 class TermTable:
     """A bijective, append-only ``GroundTerm <-> int`` registry."""
 
-    __slots__ = ("_terms", "_ids")
+    # ``__weakref__``: compiled chase templates memoize constant ids
+    # per table without keeping the table alive.
+    __slots__ = ("_terms", "_ids", "__weakref__")
 
     def __init__(self) -> None:
         self._terms: List[GroundTerm] = []

@@ -6,15 +6,25 @@ identical statuses, and homomorphically equivalent results for
 terminating runs (``null_renaming_equivalent``, Section 2).
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 from repro.chase import (chase, ChaseStatus, oblivious_chase,
                          OrderedStrategy, RandomStrategy, RoundRobinStrategy,
                          TriggerIndex)
-from repro.homomorphism.engine import null_renaming_equivalent
-from repro.homomorphism.extend import all_satisfied
+from repro.homomorphism import engine
+from repro.homomorphism.engine import (find_homomorphisms,
+                                       null_renaming_equivalent,
+                                       reference_engine)
+from repro.homomorphism.extend import all_satisfied, head_extends
+from repro.lang.atoms import Atom
+from repro.lang.constraints import TGD
+from repro.lang.instance import Instance
 from repro.lang.parser import parse_constraints, parse_instance
+from repro.lang.terms import Constant, Variable
+from repro.storage.column_store import ColumnStore
 from repro.termination.stratification import stratified_strategy
 from repro.workloads.families import (bounded_null_cascade, chain_instance,
                                       cycle_instance, example9_instance,
@@ -80,6 +90,151 @@ def test_oblivious_incremental_matches_naive(name, sigma, instance):
     if incremental.terminated:
         assert incremental.length == naive.length
         assert null_renaming_equivalent(incremental.instance, naive.instance)
+
+
+# Head shapes the compiled settledness probe tells apart, each over an
+# instance that leaves some triggers active and satisfies others.
+HEAD_SHAPES = [
+    # an existential variable shared by two head atoms: the join plan
+    ("shared_existential_divergent", intro_alpha2(), intro_instance()),
+    ("shared_existential", parse_constraints("S(x) -> E(x,y), T(y)"),
+     parse_instance("S(a). S(b). E(a,c). T(c). E(b,d)")),
+    # fully bound head atoms: has_row, one with a repeated frontier var
+    ("repeated_frontier", parse_constraints("E(x,y) -> F(x,x,y)"),
+     parse_instance("E(a,b). E(b,c). F(a,a,b). F(b,c,c)")),
+    # one-row existence scans, one with a repeated existential var
+    ("repeated_existential", parse_constraints("S(x) -> E(x,y,y)"),
+     parse_instance("S(a). S(b). E(a,c,c). E(b,c,d)")),
+    ("head_constant",
+     parse_constraints("S(x) -> E(x,'k'), L('k',y); E(x,y) -> S(y)"),
+     parse_instance("S(a). S(k). E(a,k). L(k,z)")),
+    ("empty_body",
+     [TGD([], [Atom("T", (Constant("c"),))]),
+      TGD([], [Atom("S", (Variable("y"),))]),
+      *parse_constraints("S(x) -> E(x,y)")],
+     parse_instance("S(a). E(a,b)")),
+    ("empty_body_shared_existential", parse_constraints("-> S(x), E(x,y)"),
+     parse_instance("S(a)")),
+    ("tgd_and_egd",
+     parse_constraints("S(x) -> E(x,y,y); E(x,y,z), E(x,u,v) -> y = u"),
+     parse_instance("S(a). E(a,b,c). S(d)")),
+]
+
+HEAD_SHAPE_STRATEGIES = {
+    "ordered": OrderedStrategy,
+    "round_robin": RoundRobinStrategy,
+    # the capped active_triggers path (two candidates per constraint)
+    "random_capped": lambda: RandomStrategy(seed=5, trigger_cap=2),
+}
+
+
+@pytest.mark.parametrize("name,sigma,instance", HEAD_SHAPES,
+                         ids=[shape[0] for shape in HEAD_SHAPES])
+@pytest.mark.parametrize("strategy", sorted(HEAD_SHAPE_STRATEGIES))
+def test_head_shapes_incremental_matches_naive(name, sigma, instance,
+                                               strategy):
+    factory = HEAD_SHAPE_STRATEGIES[strategy]
+    incremental = chase(instance, sigma, strategy=factory(), max_steps=60)
+    naive = chase(instance, sigma, strategy=factory(), max_steps=60,
+                  naive=True)
+    assert incremental.status is naive.status
+    if incremental.terminated:
+        assert all_satisfied(sigma, incremental.instance)
+        assert null_renaming_equivalent(incremental.instance, naive.instance)
+
+
+@pytest.mark.parametrize("name,sigma,instance", HEAD_SHAPES,
+                         ids=[shape[0] for shape in HEAD_SHAPES])
+def test_head_shapes_oblivious_matches_naive(name, sigma, instance):
+    incremental = oblivious_chase(instance, sigma, max_steps=60)
+    naive = oblivious_chase(instance, sigma, max_steps=60, naive=True)
+    assert incremental.status is naive.status
+    if incremental.terminated:
+        assert incremental.length == naive.length
+        assert null_renaming_equivalent(incremental.instance, naive.instance)
+
+
+def _active_by_enumeration(constraint, instance):
+    """The active triggers of ``constraint`` by the naive definition."""
+    out = set()
+    for assignment in find_homomorphisms(list(constraint.body), instance):
+        if constraint.is_tgd:
+            active = not head_extends(constraint, instance, assignment)
+        else:
+            active = assignment[constraint.lhs] != assignment[constraint.rhs]
+        if active:
+            out.add(frozenset(assignment.items()))
+    return out
+
+
+@pytest.mark.parametrize("name,sigma,instance", HEAD_SHAPES,
+                         ids=[shape[0] for shape in HEAD_SHAPES])
+@pytest.mark.parametrize("backend", ["set", "column"])
+def test_head_probe_matches_head_extends(name, sigma, instance, backend):
+    """Before any step, the materialized queue holds exactly the body
+    homomorphisms whose head does not extend."""
+    inst = Instance(instance, backend=backend)
+    index = TriggerIndex(sigma, inst)
+    for constraint in sigma:
+        pending = {frozenset(assignment.items())
+                   for assignment in index.pending_assignments(constraint)}
+        assert pending == _active_by_enumeration(constraint, inst)
+    index.detach()
+
+
+def test_capped_active_triggers_are_active_and_stable():
+    sigma = parse_constraints("a: S(x) -> E(x,y,y)")
+    inst = parse_instance("S(a). S(b). S(c). S(d). E(a,e,e). E(b,e,f)")
+    index = TriggerIndex(sigma, inst)
+    first = index.active_triggers(sigma[0], cap=2)
+    assert len(first) == 2
+    for assignment in first:
+        assert not head_extends(sigma[0], inst, assignment)
+    # Unfired triggers stay pending: the same two come back first.
+    assert index.active_triggers(sigma[0], cap=2) == first
+    assert len(index.active_triggers(sigma[0])) == 3  # a is satisfied
+    index.detach()
+
+
+def test_reference_engine_reaches_delta_search_and_head_checks(monkeypatch):
+    """Inside ``reference_engine()`` the index's delta searches and head
+    checks run on the reference search, never on the compiled id-level
+    probes -- so the engine_parity oracle compares two independent
+    paths."""
+    calls = Counter()
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(engine, "reference_find_homomorphisms_through",
+                        counting("delta", engine
+                                 .reference_find_homomorphisms_through))
+    # head checks reach the full (unpinned) reference search
+    monkeypatch.setattr(engine, "reference_find_homomorphisms",
+                        counting("head", engine.reference_find_homomorphisms))
+    monkeypatch.setattr(ColumnStore, "has_row",
+                        counting("probe", ColumnStore.has_row))
+    monkeypatch.setattr(ColumnStore, "scan",
+                        counting("probe", ColumnStore.scan))
+    sigma = parse_constraints("a: S(x) -> E(x,y); b: E(x,y) -> F(x,x,y)")
+    facts = parse_instance("S(a). S(b). E(a,c). E(d,e). F(d,d,e)")
+
+    with reference_engine():
+        index = TriggerIndex(sigma, Instance(facts, backend="column"))
+        under_reference = index.pending_count()
+        index.detach()
+    assert calls["delta"] > 0 and calls["head"] > 0
+    assert calls["probe"] == 0
+
+    calls.clear()
+    index = TriggerIndex(sigma, Instance(facts, backend="column"))
+    assert index.pending_count() == under_reference == 2
+    index.detach()
+    assert calls["delta"] == calls["head"] == 0
+    assert calls["probe"] > 0
 
 
 def test_stratified_cross_validation():
@@ -195,6 +350,23 @@ class TestTriggerIndexUnit:
         assignments = index.pending_assignments(sigma[0])
         assert len(assignments) == 1
         assert Constant("b") in assignments[0].values()
+        index.detach()
+
+    def test_stale_yields_of_a_suspended_expansion_are_dropped(self):
+        """SetStore scans snapshot their candidates, so an expansion
+        suspended before an EGD removal later yields rows whose image
+        is gone; only live images may become triggers."""
+        from repro.lang.terms import Null
+        sigma = parse_constraints("a: S(x), E(x,y) -> T(y)")
+        inst = Instance(parse_instance("S(a)"), backend="set")
+        index = TriggerIndex(sigma, inst)
+        inst.add_all(parse_instance("E(a,?n1). E(a,?n2). E(a,?n3). E(a,b)"))
+        # expands S(a) first and suspends after one of its four rows
+        assert index.next_active(sigma[0]) is not None
+        for label in (1, 2, 3):
+            inst.substitute_term(Null(label), Constant("b"))
+        assert index.pending_assignments(sigma[0]) == [
+            {Variable("x"): Constant("a"), Variable("y"): Constant("b")}]
         index.detach()
 
     def test_mark_fired_consumes_and_blocks_rediscovery(self):

@@ -6,7 +6,9 @@ the metamorphic oracles, *shrunk* to a minimal case, *persisted* as a
 repro spec, and that spec must *replay* through ``repro batch``.
 """
 
+import gc
 import json
+import time
 
 import pytest
 
@@ -114,6 +116,49 @@ def test_oracle_deadline_interrupts_a_swallowing_loop():
                     pass
                 except Exception:               # noqa: BLE001
                     pass
+
+
+def test_oracle_deadline_survives_a_swallowed_alarm():
+    """An alarm landing in a gc callback is swallowed by the
+    interpreter; the block must still end as a timeout."""
+    def slow_callback(phase, info):
+        if phase == "start":
+            until = time.monotonic() + 0.25
+            while time.monotonic() < until:     # the alarm lands here
+                pass
+
+    gc.callbacks.append(slow_callback)
+    try:
+        with pytest.raises(OracleTimeout):
+            with oracle_deadline(0.2):          # re-fire due at 0.4 s
+                gc.collect()
+    finally:
+        gc.callbacks.remove(slow_callback)
+
+
+def test_oracle_deadline_refires_after_a_swallowed_alarm():
+    """After a swallowed alarm the timer fires again, so a block that
+    would run long ends about one deadline later, not when it is done."""
+    swallowing = [True]
+
+    def slow_once(phase, info):
+        if phase == "start" and swallowing:
+            swallowing.clear()
+            until = time.monotonic() + 0.25
+            while time.monotonic() < until:     # the first alarm lands here
+                pass
+
+    gc.callbacks.append(slow_once)
+    started = time.monotonic()
+    try:
+        with pytest.raises(OracleTimeout):
+            with oracle_deadline(0.2):
+                gc.collect()
+                while time.monotonic() < started + 3.0:
+                    pass
+    finally:
+        gc.callbacks.remove(slow_once)
+    assert time.monotonic() - started < 1.0
 
 
 def test_deadline_hits_become_skips_not_verdicts():

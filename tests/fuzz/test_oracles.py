@@ -102,7 +102,12 @@ def test_run_chase_is_memoized_per_configuration(ctx):
     ctx.start_case(WEAKLY_ACYCLIC)
     first = ctx.run_chase(WEAKLY_ACYCLIC)
     assert ctx.run_chase(WEAKLY_ACYCLIC) is first
-    assert ctx.run_chase(WEAKLY_ACYCLIC, backend="column") is not first
+    # keyed on the backend the chase runs on: naming the case's own
+    # backend is the same configuration, the other backend is not
+    own = WEAKLY_ACYCLIC.instance.backend
+    other = "set" if own == "column" else "column"
+    assert ctx.run_chase(WEAKLY_ACYCLIC, backend=own) is first
+    assert ctx.run_chase(WEAKLY_ACYCLIC, backend=other) is not first
     ctx.start_case(DIVERGENT)
     assert ctx.run_chase(DIVERGENT) is not first
 

@@ -169,9 +169,9 @@ class TestIndexHygiene:
 
 
 class TestBackendSelection:
-    def test_default_backend_is_set(self, monkeypatch):
+    def test_default_backend_is_column(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert Instance().backend == "set"
+        assert Instance().backend == "column"
 
     def test_explicit_backend(self):
         inst = Instance([Atom("E", (a, b))], backend="column")

@@ -16,7 +16,7 @@ from repro.lang.atoms import Atom, Position
 from repro.lang.instance import Instance
 from repro.lang.parser import parse_instance
 from repro.lang.terms import Constant, Null
-from repro.storage import ColumnStore, SetStore, make_store
+from repro.storage import ColumnStore, make_store
 from repro.workloads.generators import (random_constraint_set,
                                         random_full_tgds,
                                         random_graph_instance,
@@ -199,6 +199,25 @@ class TestFactIds:
         assert store.fact_id(fact) == fid and store.alive(fid)
 
     @pytest.mark.parametrize("backend", BACKENDS)
+    def test_add_row_is_add_at_the_id_level(self, backend):
+        store = make_store(backend)
+        recorder = Recorder()
+        store.add_listener(recorder)
+        intern = store.terms.intern
+        ids = (intern(a), intern(n1))
+        generation = store.generation
+        fact = store.add_row("E", ids)
+        assert fact == Atom("E", (a, n1))
+        assert fact in store and store.row_fid("E", 2, ids) == \
+            store.fact_id(fact)
+        assert store.generation == generation + 1
+        assert store.add_row("E", ids) is None  # already present
+        assert store.generation == generation + 1
+        store.discard(fact)
+        assert store.add_row("E", ids) == fact  # re-inserted
+        assert recorder.events == [("+", fact), ("-", fact), ("+", fact)]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_row_fid_matches_fact_id(self, backend):
         store = make_store(backend)
         fact = Atom("E", (a, b))
@@ -231,9 +250,9 @@ class TestFactIds:
                    for row in store.scan("E", 2, [])}
         assert decoded == {fact.args for fact in keep}
 
-    def test_set_store_is_default_reference(self, monkeypatch):
+    def test_column_store_is_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert isinstance(Instance().store, SetStore)
+        assert isinstance(Instance().store, ColumnStore)
 
 
 # ----------------------------------------------------------------------

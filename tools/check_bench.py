@@ -2,8 +2,9 @@
 """Compare a fresh benchmark JSON against the committed baseline.
 
 ``make bench-json`` writes ``BENCH_chase_scaling.json`` (a
-pytest-benchmark artifact); the repo commits one as the performance
-baseline.  This checker recomputes each benchmark's mean-time ratio
+pytest-benchmark artifact); the repo commits a baseline recorded the
+same way at ``benchmarks/BENCH_baseline.json``, a path no make target
+writes to.  This checker recomputes each benchmark's mean-time ratio
 (fresh / baseline) and fails when any benchmark regressed by more
 than the allowed factor **relative to the run-wide median ratio** --
 the median normalizes away machine-speed differences between the
@@ -12,13 +13,16 @@ baseline host and the current one, so only *relative* regressions
 
 Benchmarks present on only one side are reported but never fail the
 check (families come and go across PRs); timings under 5 ms on both
-sides are skipped as noise.
+sides are skipped as noise.  A missing or unreadable file, or a
+baseline sharing no benchmark with the fresh run, fails the check: a
+gate that compares nothing must not pass.
 
 Usage::
 
     python tools/check_bench.py BASELINE.json FRESH.json [--allow 1.3]
 
-Exit status 1 on regression, 0 otherwise.
+Exit status 1 on regression or when there is nothing to compare, 0
+otherwise.
 """
 
 import argparse
@@ -47,13 +51,21 @@ def load_means(path):
 
 def check(baseline_path, fresh_path, allowance=DEFAULT_ALLOWANCE,
           out=sys.stdout):
-    baseline = load_means(baseline_path)
-    fresh = load_means(fresh_path)
+    loaded = []
+    for role, path in (("baseline", baseline_path), ("fresh", fresh_path)):
+        try:
+            loaded.append(load_means(path))
+        except (OSError, ValueError) as error:
+            print(f"error: cannot read the {role} benchmark JSON "
+                  f"{path!r}: {error}", file=out)
+            return 1
+    baseline, fresh = loaded
     common = sorted(set(baseline) & set(fresh))
     if not common:
-        print("no common benchmarks between baseline and fresh run; "
-              "nothing to compare", file=out)
-        return 0
+        print(f"error: the baseline ({len(baseline)} benchmark(s)) and "
+              f"the fresh run ({len(fresh)}) share no benchmark; "
+              "nothing was compared", file=out)
+        return 1
 
     for name in sorted(set(baseline) ^ set(fresh)):
         side = "baseline" if name in baseline else "fresh"
